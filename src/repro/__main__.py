@@ -347,23 +347,14 @@ def _fabric_smoke(config, args) -> int:
     the 1-worker baseline by at least that factor.  With
     ``--kill-worker`` the busiest shard is SIGKILLed after dispatch and
     the run asserts conservation: every request exactly one terminal
-    outcome, bit-exact results, the dead shard quarantined.  With
-    ``--transport shm`` the smoke additionally serves the workload
-    through both transports and asserts the shm run is bit-exact vs the
-    pipe oracle (results, outcomes, profile render), that no ``/dev/shm``
-    segment outlives the fabrics (SIGKILL pass included), and — with
-    ``--min-wire-reduction`` — that the resident-weight path cuts
-    control-wire bytes by at least that factor over a multi-wave
-    repeated-weight stream.  Nonzero exit code on any failed check
-    (used by CI).
+    outcome, bit-exact results, the dead shard quarantined.  Nonzero
+    exit code on any failed check (used by CI).
     """
     import time
 
     import numpy as np
 
     from .stack import PimFabric, Request, ServerConfig, gemv_reference
-    from .stack.profiler import ServingProfile
-    from .stack.shm import live_segments
 
     m, n = 64, 96
     count = 48
@@ -384,25 +375,12 @@ def _fabric_smoke(config, args) -> int:
         )
         for i in range(count)
     ]
-    server_config = ServerConfig(
-        lanes=2, max_batch=8, transport=args.transport
-    )
-    segments_before = live_segments()
+    server_config = ServerConfig(lanes=2, max_batch=8)
 
-    def serve(workers, kill=False, transport=None, waves=1):
-        # The explicit-transport passes are the pipe-vs-shm differential:
-        # hedging is wall-clock-triggered (hence run-to-run timing
-        # noise), so it is pinned off there — the comparison must
-        # isolate the transport, and both sides get the same pinning.
-        sc = (
-            server_config if transport is None
-            else server_config.replace(transport=transport, hedge=False)
-        )
-        chunk = max(1, -(-len(items) // waves))
+    def serve(workers, kill=False):
         with PimFabric(
-            config, workers=workers, server_config=sc
+            config, workers=workers, server_config=server_config
         ) as fabric:
-            handles, profile = [], ServingProfile()
             if kill:
                 def _kill_busiest(fab):
                     alive = [
@@ -416,21 +394,18 @@ def _fabric_smoke(config, args) -> int:
                     fab._post_dispatch_hook = None
                 fabric._post_dispatch_hook = _kill_busiest
             t0 = time.perf_counter()
-            for start in range(0, len(items), chunk):
-                for request in items[start:start + chunk]:
-                    handles.append(fabric.submit(request))
-                profile.merge(fabric.run())
+            handles = [fabric.submit(request) for request in items]
+            profile = fabric.run()
             wall_s = time.perf_counter() - t0
-            bytes_tx = fabric.bytes_tx
-        return handles, profile, wall_s, bytes_tx
+        return handles, profile, wall_s
 
     print(
         f"Fabric smoke: {count} gemv requests over {k} weight matrices, "
-        f"{args.workers} workers, transport={args.transport}"
+        f"{args.workers} workers"
         + (" (killing the busiest shard mid-round)" if args.kill_worker else "")
     )
-    base_handles, base_profile, base_wall, _ = serve(1)
-    handles, profile, wall, _ = serve(args.workers, kill=args.kill_worker)
+    base_handles, base_profile, base_wall = serve(1)
+    handles, profile, wall = serve(args.workers, kill=args.kill_worker)
     print("\n".join(profile.render()))
 
     base_rps = base_profile.throughput_rps()
@@ -478,39 +453,6 @@ def _fabric_smoke(config, args) -> int:
     if args.min_speedup is not None:
         checks[f"simulated speedup >= {args.min_speedup:g}x"] = (
             speedup >= args.min_speedup
-        )
-    if args.transport == "shm":
-        # Differential pass: the same multi-wave repeated-weight stream
-        # through both transports.  Waves matter twice over — the
-        # lifecycle manager heals between waves, and the resident-weight
-        # path only saves wire bytes when weights *repeat* across
-        # rounds (pipe re-ships them each wave, shm ships digests).
-        p_handles, p_profile, _, pipe_bytes = serve(
-            args.workers, transport="pipe", waves=4
-        )
-        s_handles, s_profile, _, shm_bytes = serve(
-            args.workers, transport="shm", waves=4
-        )
-        checks["shm results bit-exact vs pipe oracle"] = all(
-            a.outcome == b.outcome
-            and a.result is not None
-            and np.array_equal(a.result, b.result)
-            for a, b in zip(p_handles, s_handles)
-        )
-        checks["shm profile identical to pipe oracle"] = (
-            p_profile.render() == s_profile.render()
-        )
-        reduction = pipe_bytes / max(1, shm_bytes)
-        print(
-            f"  wire bytes (4 waves): pipe {pipe_bytes:,d}, "
-            f"shm {shm_bytes:,d} ({reduction:.1f}x reduction)"
-        )
-        if args.min_wire_reduction is not None:
-            checks[f"wire reduction >= {args.min_wire_reduction:g}x"] = (
-                reduction >= args.min_wire_reduction
-            )
-        checks["no /dev/shm segment leaked"] = (
-            live_segments() == segments_before
         )
     failed_checks = [name for name, ok in checks.items() if not ok]
     for name, ok in checks.items():
@@ -568,21 +510,6 @@ def _serve_bench(argv=None) -> int:
         "--min-speedup", type=float, default=None,
         help="with --workers: fail unless fabric simulated throughput is "
              "at least this multiple of the 1-worker fabric's",
-    )
-    parser.add_argument(
-        "--transport", default="pipe", choices=("pipe", "shm"),
-        help="fabric payload transport: 'pipe' pickles full requests "
-             "through the worker pipe (the always-available differential "
-             "oracle), 'shm' stages bulk tensors through shared memory "
-             "with shard-resident weights; --transport shm additionally "
-             "asserts bit-exactness against a pipe run and that no "
-             "/dev/shm segment leaks (default: pipe)",
-    )
-    parser.add_argument(
-        "--min-wire-reduction", type=float, default=None,
-        help="with --workers and --transport shm: fail unless the pipe "
-             "transport ships at least this many times more control "
-             "bytes than shm over a multi-wave repeated-weight stream",
     )
     parser.add_argument(
         "--faults", action="store_true",
@@ -1190,8 +1117,8 @@ def _chaos(argv=None) -> int:
     """Chaos smoke: a scripted fault storm the fabric must survive.
 
     Generates a seeded :class:`~repro.chaos.ChaosSchedule` covering
-    worker kill, wedge, slowdown, channel death, stored-bit flips, and
-    pipe-payload / shared-memory-frame corruption, replays it against a
+    worker kill, router kill, wedge, slowdown, channel death, stored-bit
+    flips, and pipe-payload corruption, replays it against a
     live :class:`~repro.stack.fabric.PimFabric` alongside a fault-free
     baseline, and checks the invariant suite: every request exactly one
     terminal outcome, bit-exact results versus the host golden path, a
@@ -1200,11 +1127,7 @@ def _chaos(argv=None) -> int:
     turnaround below 2x fault-free.  The scenario then runs a *second*
     time at the same seed and the two runs' serving profiles and span
     trees are compared — byte-identical replay is itself a gated
-    invariant.  Under ``--transport shm`` the second pass runs on the
-    *pipe* transport instead, turning the determinism check into a
-    cross-transport differential: the shm fault storm (shm-frame
-    corruption included) must be bit-exact against its pipe-oracle
-    twin.  Nonzero exit code on any violation (used by CI).
+    invariant.  Nonzero exit code on any violation (used by CI).
     """
     import argparse
 
@@ -1230,35 +1153,22 @@ def _chaos(argv=None) -> int:
         "--once", action="store_true",
         help="skip the replay-determinism pass (single scenario run)",
     )
-    parser.add_argument(
-        "--transport", default="pipe", choices=("pipe", "shm"),
-        help="fabric payload transport for the scenario; 'shm' makes "
-             "the replay pass a pipe-oracle differential (default: pipe)",
-    )
     args = parser.parse_args(argv or [])
 
     print(
         f"Chaos smoke: seed={args.seed} workers={args.workers} "
-        f"requests={args.requests} transport={args.transport}"
+        f"requests={args.requests}"
     )
     report = run_chaos(
-        seed=args.seed, workers=args.workers, requests=args.requests,
-        transport=args.transport,
+        seed=args.seed, workers=args.workers, requests=args.requests
     )
     print("\n".join(report.render()))
     failures = list(report.violations)
     if not args.once:
-        # Under shm the replay runs on the pipe transport: one pass
-        # doubles as both the determinism check and the cross-transport
-        # bit-exactness differential.
-        oracle = "pipe" if args.transport == "shm" else args.transport
         replay = run_chaos(
-            seed=args.seed, workers=args.workers, requests=args.requests,
-            transport=oracle,
+            seed=args.seed, workers=args.workers, requests=args.requests
         )
         failures.extend(replay.violations)
-        if oracle != args.transport:
-            print(f"  replay pass ran on the {oracle} oracle transport")
         checks = {
             "replay profile identical": (
                 "\n".join(report.profile.render())

@@ -61,7 +61,7 @@ SLOW_DELAY_S = 1.5
 WEDGE_DELAY_S = 8.0
 
 
-def _chaos_server_config(transport: str = "pipe") -> ServerConfig:
+def _chaos_server_config() -> ServerConfig:
     """The resilience knobs the harness runs under.
 
     Wall-clock bounds are compressed from the production defaults so a
@@ -71,14 +71,6 @@ def _chaos_server_config(transport: str = "pipe") -> ServerConfig:
     heartbeat bound once hedged, and a ``wedge`` stall (8s) overruns
     every bound.  The respawn budget is effectively unbounded — the
     harness is testing that healing *works*, not rationing it.
-
-    ``transport`` picks the fabric payload path under test; results,
-    profiles, and span trees are bit-exact across transports, so a
-    schedule's report under ``"shm"`` must match its ``"pipe"`` twin —
-    the differential surface the CLI asserts.  Under ``"shm"`` the
-    inline threshold is forced to 0 so the harness's deliberately tiny
-    tensors still cross as CRC-guarded descriptors — otherwise the
-    ``corrupt_shm`` kind would never find a frame to strike.
     """
     return ServerConfig(
         reply_timeout_s=3.0,
@@ -91,8 +83,6 @@ def _chaos_server_config(transport: str = "pipe") -> ServerConfig:
         hedge_factor=4.0,
         hedge_min_s=0.5,
         pipe_checksum=True,
-        transport=transport,
-        shm_inline_bytes=0,
     )
 
 
@@ -216,11 +206,6 @@ def _arm_event(fabric: PimFabric, event, seed: int) -> str:
         spec.update(fail_channel=int(event.param))
     elif event.kind == "bit_flips":
         spec.update(bit_flips=max(1, int(event.param)))
-    elif event.kind == "corrupt_shm":
-        # Strikes a shared-memory result frame post-checksum under
-        # transport="shm"; the worker degrades it to reply-blob
-        # corruption under "pipe", so schedules stay transport-portable.
-        spec.update(corrupt_shm=True)
     else:  # corrupt_pipe: schedule validated the kind set already
         spec.update(corrupt_reply=True)
     fabric.inject_worker_fault(shard, spec)
@@ -334,7 +319,6 @@ def run_chaos(
     schedule: Optional[ChaosSchedule] = None,
     gates: bool = True,
     journal_dir: Optional[str] = None,
-    transport: str = "pipe",
 ) -> ChaosReport:
     """Run one chaos scenario end to end; returns its :class:`ChaosReport`.
 
@@ -349,11 +333,6 @@ def run_chaos(
     A schedule containing ``kill_router`` needs a journal to recover
     from; ``journal_dir`` supplies one (kept for inspection), else a
     temporary directory is used and removed afterwards.
-
-    ``transport`` selects the fabric payload path (``"pipe"`` or
-    ``"shm"``); the report's profiles, results, and span trees are
-    bit-exact across transports, which is the differential guarantee the
-    CLI's ``--transport`` flag checks.
     """
     if schedule is None:
         schedule = ChaosSchedule.generate(
@@ -371,7 +350,7 @@ def run_chaos(
         scrub_interval=4,
         trace=True,
     )
-    server_config = _chaos_server_config(transport)
+    server_config = _chaos_server_config()
     if gates:
         (_, base_total, base_waves, _, _, _, base_tracer) = _execute(
             seed, workers, num_waves, per_wave, {}, config, server_config

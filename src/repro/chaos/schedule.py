@@ -11,7 +11,7 @@ runs of the same schedule produce identical serving profiles and span
 trees, which is what lets the ``python -m repro chaos`` gate assert
 byte-identical replay.
 
-The eight fault kinds cover the failure tiers the fabric defends:
+The seven fault kinds cover the failure tiers the fabric defends:
 
 ========================  =====================================================
 kind                      what the harness does at the event's wave
@@ -32,10 +32,6 @@ kind                      what the harness does at the event's wave
                           corrects or the server falls back, still bit-exact)
 ``corrupt_pipe``          corrupt the worker's next reply payload in transit
                           — the router's CRC32 check catches it and replays
-``corrupt_shm``           corrupt a shared-memory result frame *after* the
-                          reply was checksummed — only the router's
-                          per-descriptor CRC32 can catch it (degrades to
-                          ``corrupt_pipe`` behaviour under the pipe transport)
 ========================  =====================================================
 """
 
@@ -57,7 +53,6 @@ KINDS: Tuple[str, ...] = (
     "fail_channel",
     "bit_flips",
     "corrupt_pipe",
-    "corrupt_shm",
 )
 
 

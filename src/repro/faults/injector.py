@@ -77,9 +77,6 @@ class FaultStats:
     #    these through the fabric's worker protocol; see repro.chaos) --
     # Pipe payloads corrupted in transit (caught by the CRC32 check).
     pipe_corruptions: int = 0
-    # Shared-memory result frames corrupted in place (caught by the
-    # router's per-descriptor CRC32 check; see repro.stack.shm).
-    shm_corruptions: int = 0
     # Serve rounds stalled past the router's reply timeout (wedges) or
     # delayed long enough to trip the straggler hedge (slowdowns).
     wedges: int = 0
@@ -94,7 +91,6 @@ class FaultStats:
             + self.register_faults
             + len(self.channels_failed)
             + self.pipe_corruptions
-            + self.shm_corruptions
             + self.wedges
             + self.slowdowns
         )
@@ -250,21 +246,6 @@ class FaultInjector:
             corrupted[index] ^= 1 << int(self.rng.integers(0, 8))
         self.stats.pipe_corruptions += 1
         return bytes(corrupted)
-
-    def corrupt_shm(self, view: memoryview) -> None:
-        """Flip one seeded bit of a shared-memory frame, in place.
-
-        Models in-segment corruption of a result tensor *after* the
-        reply's control payload (descriptor CRCs included) was built and
-        checksummed — the control blob still verifies, so only the
-        router's per-descriptor CRC32 check (see
-        :meth:`repro.stack.shm.SegmentCache.read`) can catch it.  Counts
-        under ``stats.shm_corruptions``.
-        """
-        if len(view):
-            index = int(self.rng.integers(0, len(view)))
-            view[index] ^= 1 << int(self.rng.integers(0, 8))
-        self.stats.shm_corruptions += 1
 
     def corrupt_registers(self) -> int:
         """Corrupt one register word per struck execution unit.

@@ -33,6 +33,16 @@ from ..errors import PimProgramError
 __all__ = ["Request", "ServerConfig", "request_signature"]
 
 
+def _weights_digest(weights: np.ndarray) -> str:
+    """sha1 hex digest of a weight matrix's bytes, memory layout aside.
+
+    The one place a GEMV weight digest is computed: the batching key,
+    the fabric's placement key, and the shard-resident weight store all
+    name a matrix by this value.
+    """
+    return hashlib.sha1(np.ascontiguousarray(weights).tobytes()).hexdigest()
+
+
 def request_signature(
     op: str,
     a: Optional[np.ndarray] = None,
@@ -50,9 +60,8 @@ def request_signature(
     ``(op, length, scalars)``.
     """
     if op == "gemv":
-        w = np.ascontiguousarray(weights)
-        digest = hashlib.sha1(w.tobytes()).hexdigest()
-        return ("gemv", w.shape, str(w.dtype), digest)
+        w = np.asarray(weights)
+        return ("gemv", w.shape, str(w.dtype), _weights_digest(w))
     scalar_key = (
         None if scalars is None else tuple(float(s) for s in scalars)
     )
@@ -116,21 +125,19 @@ class Request:
     def weight_digest(self) -> Optional[str]:
         """sha1 hex digest of the weight bytes, computed once per instance.
 
-        ``request_signature`` historically re-hashed ``weights.tobytes()``
-        on every ``.signature`` access — O(weight bytes) per call on the
-        router hot path, which touches the signature at submit,
-        placement, *and* batching.  The digest is immutable for an
+        The router touches the signature at submit, placement, *and*
+        batching, so hashing ``weights.tobytes()`` per access would cost
+        O(weight bytes) each time.  The digest is immutable for an
         immutable request, so it is memoised on first access (stashed
         via ``object.__setattr__`` — the dataclass is frozen, its
-        ``__dict__`` is not).  The fabric's shm transport also keys
-        shard-resident weight staging on this digest.
+        ``__dict__`` is not).  The fabric keys shard-resident weights on
+        this digest and pre-seeds it on the requests a worker decodes.
         """
         if self.weights is None:
             return None
         cached = self.__dict__.get("_weight_digest")
         if cached is None:
-            w = np.ascontiguousarray(self.weights)
-            cached = hashlib.sha1(w.tobytes()).hexdigest()
+            cached = _weights_digest(self.weights)
             object.__setattr__(self, "_weight_digest", cached)
         return cached
 
@@ -252,27 +259,13 @@ class ServerConfig:
     # CRC32-checksum worker<->router serve/result pipe payloads; a
     # corrupt payload is a PimWorkerError and replays on the survivors.
     pipe_checksum: bool = True
-    # -- fabric transport (repro.stack.shm; docs/ARCHITECTURE.md,
-    #    "Fabric transport").  "pipe" pickles full request payloads
-    #    through the worker pipe — simple, and the always-available
-    #    differential oracle.  "shm" carries bulk tensors through a
-    #    router-owned shared-memory arena as CRC-guarded descriptors and
-    #    keeps GEMV weights shard-resident (keyed by content digest), so
-    #    a weight matrix crosses the boundary once per (shard,
-    #    signature) instead of every round.  Results are bit-exact
-    #    either way; pick "shm" for wire bandwidth. --
-    transport: str = "pipe"
-    # Per-worker weight-store budget (MiB).  Staged GEMV weights are
-    # LRU-cached up to this many MiB per shard; 0 disables residency
-    # (every round re-ships weights).  Ignored under transport="pipe".
+    # Per-worker weight-store budget (MiB).  The fabric ships a GEMV
+    # weight matrix to a shard in full once, LRU-caches it there up to
+    # this many MiB, and sends only its 40-byte digest afterwards
+    # (repro.stack.residency; docs/ARCHITECTURE.md, "Fabric transport").
+    # 0 disables residency: every round re-ships the weights, which is
+    # the differential oracle for the residency path.
     weight_store_mb: float = 64.0
-    # Tensors at or below this many bytes ride the pickled control
-    # message inline instead of crossing as a shared-memory descriptor
-    # (the descriptor plus its attach/CRC hops costs more than the bytes
-    # for small arrays).  0 forces *every* tensor through shared memory
-    # — the mode chaos uses so frame corruption always has a frame to
-    # strike.  Ignored under transport="pipe".
-    shm_inline_bytes: int = 1024
     # -- durability (repro.journal; docs/ARCHITECTURE.md, "Durability &
     #    replay").  When journal_dir is set, the router appends every
     #    accepted Request and every terminal outcome to a CRC32-framed

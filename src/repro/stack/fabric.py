@@ -65,11 +65,9 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import pickle
-import secrets
 import signal
 import time
 import zlib
-from multiprocessing import shared_memory
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -86,15 +84,7 @@ from .blas import (
 )
 from .profiler import Profiler, RequestStats, ServingProfile, _percentile
 from .runtime import SystemConfig
-from .shm import (
-    DEFAULT_SEGMENT_BYTES,
-    SHM_PREFIX,
-    ArrayRef,
-    SegmentCache,
-    ShmArena,
-    StagedWeights,
-    encode_request,
-)
+from .residency import budget_bytes, encode_request
 from .worker import run_worker
 
 __all__ = ["FabricHandle", "PimFabric"]
@@ -231,11 +221,6 @@ class PimFabric:
         self.server_config = (server_config or ServerConfig()).resolve(
             self.config
         )
-        if self.server_config.transport not in ("pipe", "shm"):
-            raise ValueError(
-                f"unknown transport {self.server_config.transport!r} "
-                f"(expected 'pipe' or 'shm')"
-            )
         self.num_workers = int(workers)
         self.profiler = profiler
         self.metrics = metrics
@@ -271,47 +256,20 @@ class PimFabric:
                 sync=self.server_config.journal_sync,
             )
             self._journal.append_meta(self.config, self.server_config)
-        # -- transport (docs/ARCHITECTURE.md, "Fabric transport").  The
-        #    router is the single owner of every shared-memory segment:
-        #    it creates the operand arena and one result segment per
-        #    shard slot before any worker exists, and it alone unlinks
-        #    them at close().  Workers only attach, so no worker death —
-        #    SIGKILL included — can leak a /dev/shm entry. --
-        self._arena: Optional[ShmArena] = None
-        self._segments: Optional[SegmentCache] = None
-        self._result_segments: Dict[int, Any] = {}
-        self._transport_specs: Dict[int, Dict[str, Any]] = {}
-        #: Per-shard staged-weight digests the router believes resident
-        #: (cleared on quarantine/drain/respawn so a fresh worker always
-        #: re-stages — never serves stale weights).
+        # -- weight residency (repro.stack.residency; docs/ARCHITECTURE.md,
+        #    "Fabric transport"). --
+        #: Per-shard weight digests the router believes resident (cleared
+        #: on quarantine/drain/respawn so a fresh worker always re-stages
+        #: — never serves stale weights).
         self._resident: Dict[int, set] = {}
-        #: Pipe-serialised control bytes sent/received (both transports)
-        #: and bulk tensor bytes staged through/read out of shared
-        #: memory (shm only).  bytes_tx is the bench's bytes-on-wire.
+        self._store_budget = budget_bytes(self.server_config.weight_store_mb)
+        #: Framed pipe bytes sent/received (the bench's bytes-on-wire).
         self.bytes_tx = 0
         self.bytes_rx = 0
-        self.shm_tx = 0
-        self.shm_rx = 0
         #: Fabric-wide weight-store totals folded from worker replies.
         self.weight_store_stats: Dict[str, int] = {
             "hits": 0, "misses": 0, "evictions": 0
         }
-        if self.server_config.transport == "shm":
-            self._arena = ShmArena(tag="tx")
-            self._segments = SegmentCache()
-            token = secrets.token_hex(4)
-            for shard in range(self.num_workers):
-                name = (
-                    f"{SHM_PREFIX}-res{shard}-{os.getpid()}-{token}"
-                )
-                segment = shared_memory.SharedMemory(
-                    name=name, create=True, size=DEFAULT_SEGMENT_BYTES
-                )
-                self._result_segments[shard] = segment
-                self._transport_specs[shard] = {
-                    "result_segment": name,
-                    "result_bytes": DEFAULT_SEGMENT_BYTES,
-                }
         self._mp = multiprocessing.get_context(start_method)
         self._workers: Dict[int, _WorkerLink] = {
             shard: self._spawn(shard) for shard in range(self.num_workers)
@@ -342,10 +300,7 @@ class PimFabric:
         parent, child = self._mp.Pipe()
         process = self._mp.Process(
             target=run_worker,
-            args=(
-                child, self.config, self._worker_config, shard,
-                self._transport_specs.get(shard),
-            ),
+            args=(child, self.config, self._worker_config, shard),
             name=f"pim-fabric-shard{shard}",
             daemon=True,
         )
@@ -388,28 +343,6 @@ class PimFabric:
                     link.process.kill()
                     link.process.join(timeout=cfg.join_timeout_s)
             link.alive = False
-        self._close_shm()
-
-    def _close_shm(self) -> None:
-        """Unlink every owned shared-memory segment (single-owner duty).
-
-        Runs after the workers are down (they only held attachments, and
-        on Linux an unlink with stragglers attached is safe anyway) —
-        leaves ``/dev/shm`` exactly as the fabric found it.
-        """
-        if self._segments is not None:
-            self._segments.close()
-            self._segments = None
-        if self._arena is not None:
-            self._arena.close()
-            self._arena = None
-        for segment in self._result_segments.values():
-            try:
-                segment.close()
-                segment.unlink()
-            except (FileNotFoundError, OSError):  # pragma: no cover
-                pass
-        self._result_segments.clear()
 
     def _reap(self, link: _WorkerLink) -> None:
         """Join (or kill-then-join) one worker process, bounded."""
@@ -451,10 +384,8 @@ class PimFabric:
                     break
                 link.pending_discards -= 1
             if link.conn.poll(self.reply_timeout_s):
-                # Decode eagerly: under shm the reply's descriptors
-                # point into the slot's result segment, which the
-                # replacement worker will rewind at its next serve —
-                # materialise them now, while they are still live.
+                # Decode now, so the reply's weight-store report is
+                # folded before the slot's residency is reset below.
                 try:
                     self._stashed_replies[shard] = (
                         "ok", self._decode_reply(link.conn.recv(), shard)
@@ -687,56 +618,26 @@ class PimFabric:
         if amount and self.metrics is not None:
             self.metrics.counter(name).inc(amount)
 
-    def _encode_wire(self, shard: int, items: List[FabricHandle]) -> List[Tuple]:
-        """The ``(rid, payload)`` wire items of one dispatch, per target.
-
-        Under the pipe transport the payload is the ``Request`` itself.
-        Under shm, each request is encoded against the *target* shard's
-        residency set — which is why dispatch (hedges included) encodes
-        per target rather than reusing a wire built for another shard: a
-        by-digest weight reference is only valid on the shard that
-        staged it.  Staged cacheable weights are optimistically marked
-        resident here; every path that loses the worker (quarantine,
-        drain, respawn) clears the mark again.
-        """
-        if self._arena is None:
-            return [(h.request_id, h.request) for h in items]
-        resident = self._resident.setdefault(shard, set())
-        budget = int(
-            max(0.0, self.server_config.weight_store_mb) * (1 << 20)
-        )
-        wire = []
-        for handle in items:
-            encoded = encode_request(
-                handle.request,
-                self._arena,
-                resident,
-                budget,
-                inline_bytes=self.server_config.shm_inline_bytes,
-            )
-            wire.append((handle.request_id, encoded))
-            weights = encoded.weights
-            if isinstance(weights, StagedWeights) and weights.cache:
-                resident.add(weights.digest)
-        return wire
-
     def _dispatch(self, link: _WorkerLink, items: List[FabricHandle]) -> bool:
         """Put one serve round on a shard's pipe; False when the send fails.
 
-        With ``pipe_checksum`` the items are pickled once here and framed
+        Each request is encoded against the *target* shard's residency
+        set (hedges included — a by-digest weight reference is only
+        valid on the shard that staged it); staged weights are marked
+        resident optimistically, and every path that loses the worker
+        (quarantine, drain, respawn) clears the marks again.  With
+        ``pipe_checksum`` the items are pickled once here and framed
         with a CRC32 of the bytes, so the worker detects a dispatch
-        corrupted in transit instead of serving garbage.  The framed
-        control bytes count under ``bytes_tx`` (the bench's
-        bytes-on-wire); tensor bytes staged through the arena count
-        separately under ``shm_tx``.
+        corrupted in transit instead of serving garbage; the framed
+        bytes count under ``bytes_tx`` (the bench's bytes-on-wire).
         """
-        staged = 0 if self._arena is None else self._arena.bytes_written
+        resident = self._resident.setdefault(link.shard, set())
+        budget = self._store_budget
+        wire = [
+            (h.request_id, encode_request(h.request, resident, budget))
+            for h in items
+        ]
         try:
-            wire = self._encode_wire(link.shard, items)
-            if self._arena is not None:
-                delta = self._arena.bytes_written - staged
-                self.shm_tx += delta
-                self._count("fabric.shm_tx", delta)
             if self.server_config.pipe_checksum:
                 blob = pickle.dumps(wire, protocol=pickle.HIGHEST_PROTOCOL)
                 self.bytes_tx += len(blob)
@@ -757,13 +658,8 @@ class PimFabric:
         reply or a checksum mismatch — both route the round through the
         quarantine/replay path, never into silently wrong bytes.
 
-        Under shm the payload's result descriptors are materialised
-        *here*, the moment the reply is received — not lazily at fold
-        time — because the worker rewinds its result segment at its next
-        serve round (a hedged or drained slot can be re-dispatched
-        before this round folds).  Weight-store deltas and evicted
-        digests are folded into the router's accounting and residency
-        map on the way.
+        Weight-store deltas and evicted digests are folded into the
+        router's accounting and residency map on the way.
         """
         kind = message[0]
         if kind != "result":
@@ -782,38 +678,6 @@ class PimFabric:
             payload = pickle.loads(blob)
         else:
             payload = message[1]
-        return self._materialise(payload, shard)
-
-    def _materialise(
-        self, payload: Dict[str, Any], shard: Optional[int]
-    ) -> Dict[str, Any]:
-        """Resolve a reply's shm descriptors into owned arrays (pipe: no-op).
-
-        A descriptor whose CRC32 check fails raises
-        :class:`~repro.errors.PimWorkerError` — in-segment corruption
-        takes the same quarantine/replay path a corrupted pipe blob
-        does.
-        """
-        if self._segments is None:
-            return payload
-        results = payload.get("results")
-        if results:
-            read = 0
-            materialised = {}
-            for rid, value in results.items():
-                if isinstance(value, ArrayRef):
-                    try:
-                        materialised[rid] = self._segments.read(value)
-                    except ValueError as err:
-                        raise PimWorkerError(
-                            f"{err}; replaying the round"
-                        ) from err
-                    read += value.nbytes
-                else:
-                    materialised[rid] = value
-            payload["results"] = materialised
-            self.shm_rx += read
-            self._count("fabric.shm_rx", read)
         stats = payload.get("weight_store")
         if stats:
             for key in ("hits", "misses", "evictions"):
@@ -853,11 +717,6 @@ class PimFabric:
                     self._heal(serving)
             if not self.alive_shards():
                 break
-            if self._arena is not None:
-                # Every descriptor from the previous round is dead —
-                # replies are materialised the moment they arrive — so
-                # the operand arena reuses the same pages each round.
-                self._arena.reset()
             assignment = self._place(todo)
             failed_shards: List[int] = []
             for shard, items in assignment.items():
@@ -1064,9 +923,9 @@ class PimFabric:
                     )
                     if target is None:
                         continue
-                    # Re-encode for the hedge target: under shm the
-                    # origin's wire may carry by-digest weight refs only
-                    # the origin's store can resolve.
+                    # Re-encode for the hedge target: the origin's wire
+                    # may carry by-digest weight refs only the origin's
+                    # store can resolve.
                     if self._dispatch(
                         self._workers[target], assignment[origin]
                     ):

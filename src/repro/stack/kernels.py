@@ -105,6 +105,19 @@ def _dummy_column() -> np.ndarray:
     return np.zeros(GRF_REG_BYTES, dtype=np.uint8)
 
 
+def _reduce_partials(partials: np.ndarray) -> np.ndarray:
+    """FP32 host reduction of (slice, register, output) FP16 partials.
+
+    Adds in ``gemv_reference``'s order — the registers of each slice, then
+    the slices in turn — so the device path and the host golden path
+    round every output identically.
+    """
+    total = np.zeros(partials.shape[2], dtype=np.float32)
+    for acc in partials:
+        total += acc.T.astype(np.float32, order="C").sum(axis=1)
+    return total
+
+
 class PimSession:
     """Mode transitions and register programming over standard commands.
 
@@ -466,7 +479,7 @@ class GemvKernel:
         partials = self._read_partials(nsim_ch)
         end = self.sys.drain_set(self.channels)
 
-        y = partials.astype(np.float32).sum(axis=(0, 1))[: self.m]
+        y = _reduce_partials(partials)[: self.m]
         self._account_commands(report)
         self._fill_timing(report, start, end, launches=1)
         return y, report
@@ -556,7 +569,7 @@ class GemvKernel:
                     if s % k >= nsim_ch:
                         self._shortcut_slice(s, xp, slot=slot)
                 partials = self._read_partials(nsim_ch, slot=slot)
-                outputs.append(partials.astype(np.float32).sum(axis=(0, 1))[: self.m])
+                outputs.append(_reduce_partials(partials)[: self.m])
         end = self.sys.drain_set(self.channels)
         self._account_commands(merged, invocations=batch)
         self._fill_timing(merged, start, end, launches=launches)

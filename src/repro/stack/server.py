@@ -542,6 +542,7 @@ class PimServer:
                 None if req.deadline_ns is None else float(req.deadline_ns)
             ),
             trace_id=req.trace_id,
+            _signature=req.signature,
         )
         lane = self._lane_for(request.signature)
         if (

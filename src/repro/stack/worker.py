@@ -45,19 +45,12 @@ from __future__ import annotations
 import pickle
 import time
 import zlib
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..errors import PimError
 from .api import Request, ServerConfig
 from .profiler import BreakerTransition, ServingProfile
-from .shm import (
-    ResultWriter,
-    SegmentCache,
-    WeightStore,
-    WireRequest,
-    as_wire_array,
-    decode_request,
-)
+from .residency import WeightStore, as_wire_array, decode_request
 
 __all__ = ["apply_chaos", "run_worker", "serve_round"]
 
@@ -88,9 +81,8 @@ def serve_round(ctx, server, shard: int, items: List[Tuple[int, "Request"]]) -> 
     payload: Dict[str, Any] = {
         "shard": shard,
         # as_wire_array is the blessed layout choke point: results leave
-        # the worker C-contiguous exactly once, here, instead of being
-        # re-normalised (or re-copied by pickle) per transport path —
-        # zero-length and Fortran-ordered results included.
+        # the worker C-contiguous exactly once, here — zero-length and
+        # Fortran-ordered results included.
         "results": {
             rid: None if h.result is None else as_wire_array(h.result)
             for rid, h in handles.items()
@@ -181,14 +173,6 @@ class _ChaosState:
         #: Corrupt the next result blob *after* its CRC32 was computed,
         #: modelling in-transit pipe corruption the checksum must catch.
         self.corrupt_next_reply: bool = False
-        #: Corrupt a shared-memory result frame of the next serve round
-        #: *after* the control payload (descriptors included) was built
-        #: and CRC'd, so the router's per-descriptor CRC32 — not the
-        #: control-blob checksum — must catch it.  Under the pipe
-        #: transport (no shm frames exist) this degrades to
-        #: ``corrupt_next_reply`` behaviour, keeping chaos schedules
-        #: transport-portable.
-        self.corrupt_next_shm: bool = False
         #: Lazily-built seeded injector for device-tier scripted faults.
         self.injector = None
 
@@ -208,11 +192,6 @@ def apply_chaos(ctx, state: _ChaosState, spec: Dict[str, Any]) -> None:
       allocated rows (with ECC armed these are corrected/scrubbed).
     * ``corrupt_reply`` — corrupt the next result payload after
       checksumming, so the router's CRC32 verification must catch it.
-    * ``corrupt_shm`` — corrupt a shared-memory result frame of the next
-      serve round after the reply was checksummed, so the router's
-      per-descriptor CRC32 must catch it (falls back to
-      ``corrupt_reply`` behaviour under the pipe transport, or when the
-      round shipped nothing through shared memory).
     * ``seed`` — seed of the worker's scripted-fault injector (defaults
       to 0; only the first ``chaos`` message builds the injector).
     """
@@ -231,8 +210,6 @@ def apply_chaos(ctx, state: _ChaosState, spec: Dict[str, Any]) -> None:
             state.injector.stats.slowdowns += 1
     if spec.get("corrupt_reply"):
         state.corrupt_next_reply = True
-    if spec.get("corrupt_shm"):
-        state.corrupt_next_shm = True
     if "fail_channel" in spec:
         state.injector.fail_channel(int(spec["fail_channel"]))
     if "bit_flips" in spec:
@@ -257,11 +234,7 @@ def _decode_serve(message: Tuple) -> List[Tuple[int, "Request"]]:
 
 
 def run_worker(
-    conn,
-    system_config,
-    server_config: ServerConfig,
-    shard: int,
-    transport_spec: Optional[Dict[str, Any]] = None,
+    conn, system_config, server_config: ServerConfig, shard: int
 ) -> None:
     """Serve fabric messages over ``conn`` until closed, killed, or EOF.
 
@@ -272,56 +245,30 @@ def run_worker(
     reply — the router reacts by quarantining the shard — rather than
     crashing silently.
 
-    Under ``server_config.transport == "shm"`` the router passes a
-    ``transport_spec`` (``{"result_segment": name, "result_bytes": n}``)
-    naming the router-owned segment this worker writes results into;
-    dispatched items arrive as :class:`~repro.stack.shm.WireRequest`
-    descriptors, staged weights are cached in a per-worker
-    :class:`~repro.stack.shm.WeightStore`, and the reply reports the
+    Dispatched GEMV weights may arrive staged or by digest (see
+    :mod:`repro.stack.residency`): staged matrices are cached in a
+    per-worker :class:`~repro.stack.residency.WeightStore` sized by
+    ``server_config.weight_store_mb``, and every reply reports the
     store's hit/miss/eviction deltas (plus evicted digests) so the
-    router's residency map tracks reality.  The worker only *attaches*
-    to segments — it owns and unlinks nothing, so even a SIGKILLed
-    worker cannot leak a ``/dev/shm`` entry.
+    router's residency map tracks reality.
     """
     from .context import PimContext  # local: fabric->worker->context cycle
 
     ctx = PimContext(system_config)
     server = ctx.server(server_config)
     chaos = _ChaosState()
-    segments = writer = store = None
-    if server_config.transport == "shm" and transport_spec is not None:
-        segments = SegmentCache()
-        store = WeightStore(server_config.weight_store_mb)
-        writer = ResultWriter(
-            segments,
-            transport_spec["result_segment"],
-            transport_spec["result_bytes"],
-            inline_bytes=server_config.shm_inline_bytes,
-        )
+    store = WeightStore(server_config.weight_store_mb)
     # Last-reported cumulative (hits, misses, evictions): replies carry
     # deltas, so the router can sum across rounds and respawns without
     # double counting.
     reported = [0, 0, 0]
 
-    def decode_items(items):
-        return [
-            (rid, decode_request(w, segments, store))
-            if isinstance(w, WireRequest) else (rid, w)
-            for rid, w in items
-        ]
-
-    def encode_payload(payload):
-        writer.reset()
-        payload["results"] = {
-            rid: writer.write(array)
-            for rid, array in payload["results"].items()
-        }
+    def report_store(payload):
         counts = (store.hits, store.misses, store.evictions)
         payload["weight_store"] = {
             "hits": counts[0] - reported[0],
             "misses": counts[1] - reported[1],
             "evictions": counts[2] - reported[2],
-            "resident_bytes": store.resident_bytes(),
             "evicted": store.drain_evicted(),
         }
         reported[:] = counts
@@ -341,12 +288,13 @@ def run_worker(
                     time.sleep(chaos.delay_s)
                     chaos.delay_s = 0.0
                 try:
-                    items = _decode_serve(message)
-                    if writer is not None:
-                        items = decode_items(items)
-                    payload = serve_round(ctx, server, shard, items)
-                    if writer is not None:
-                        payload = encode_payload(payload)
+                    items = [
+                        (rid, decode_request(request, store))
+                        for rid, request in _decode_serve(message)
+                    ]
+                    payload = report_store(
+                        serve_round(ctx, server, shard, items)
+                    )
                 except Exception as err:  # noqa: BLE001 - shipped to router
                     conn.send(("error", f"{type(err).__name__}: {err}"))
                 else:
@@ -355,25 +303,6 @@ def run_worker(
                             payload, protocol=pickle.HIGHEST_PROTOCOL
                         )
                         crc = zlib.crc32(blob)
-                        if chaos.corrupt_next_reply or chaos.corrupt_next_shm:
-                            from ..faults import FaultConfig, FaultInjector
-
-                            if chaos.injector is None:
-                                chaos.injector = FaultInjector(
-                                    ctx.system, FaultConfig(seed=shard)
-                                )
-                        if chaos.corrupt_next_shm:
-                            # Strike the shared-memory frames, not the
-                            # control blob: its CRC stays valid, so only
-                            # the router's per-descriptor check can
-                            # catch this.  Degrades to blob corruption
-                            # when no frame was written (pipe transport,
-                            # or an all-inline round).
-                            chaos.corrupt_next_shm = False
-                            if writer is None or not writer.corrupt_last_round(
-                                chaos.injector
-                            ):
-                                blob = chaos.injector.corrupt_blob(blob)
                         if chaos.corrupt_next_reply:
                             chaos.corrupt_next_reply = False
                             # CRC was computed on the good bytes; the blob
@@ -401,10 +330,6 @@ def run_worker(
             else:
                 conn.send(("error", f"unknown message {message[0]!r}"))
     finally:
-        if segments is not None:
-            # Drop attachments only — the router owns every segment and
-            # keeps sole unlink duty (the cleanup invariant).
-            segments.close()
         try:
             ctx.close()
         except PimError:

@@ -22,7 +22,6 @@ FAST_KINDS = (
     "kill",
     "kill_router",
     "corrupt_pipe",
-    "corrupt_shm",
     "bit_flips",
     "fail_channel",
 )
@@ -38,36 +37,37 @@ class TestHarnessSmoke:
         assert len(report.applied) == len(FAST_KINDS)
         assert sum(report.profile.outcomes().values()) == report.requests
 
-    def test_shm_transport_matches_pipe_oracle(self):
-        """Satellite: the same chaos schedule under transport="shm" is
-        bit-exact against its pipe twin — profiles, outcomes, and span
-        trees — with the corrupt_shm kind striking a real frame.  The
-        schedule includes kill_router, so the run also proves recovery
-        re-creates the shm plumbing without leaking a segment."""
+    def test_residency_matches_reshipping_oracle(self, monkeypatch):
+        """The same chaos schedule with shard-resident weights is
+        bit-exact against its weight_store_mb=0 twin, which re-ships
+        every matrix — profiles, outcomes, and span trees.  The schedule
+        includes kill, corrupt_pipe and kill_router, so residency is
+        invalidated and rebuilt on the way."""
+        import repro.chaos.harness as harness
         from repro.obs.export import diff_span_trees
-        from repro.stack.shm import live_segments
 
-        segments_before = live_segments()
-        runs = {
-            transport: run_chaos(
-                seed=3, workers=2, requests=12, kinds=FAST_KINDS,
-                gates=False, transport=transport,
-            )
-            for transport in ("pipe", "shm")
-        }
-        pipe, shm = runs["pipe"], runs["shm"]
-        assert shm.ok, "\n".join(shm.violations)
-        assert pipe.profile.render() == shm.profile.render()
-        assert pipe.profile.outcomes() == shm.profile.outcomes()
+        resident = run_chaos(
+            seed=3, workers=2, requests=12, kinds=FAST_KINDS, gates=False
+        )
+        base = harness._chaos_server_config()
+        monkeypatch.setattr(
+            harness, "_chaos_server_config",
+            lambda: base.replace(weight_store_mb=0),
+        )
+        reship = run_chaos(
+            seed=3, workers=2, requests=12, kinds=FAST_KINDS, gates=False
+        )
+        assert resident.ok, "\n".join(resident.violations)
+        assert reship.profile.render() == resident.profile.render()
+        assert reship.profile.outcomes() == resident.profile.outcomes()
         assert [
             (r.request_id, r.outcome, r.shard, r.finish_ns)
-            for r in pipe.profile.requests
+            for r in reship.profile.requests
         ] == [
             (r.request_id, r.outcome, r.shard, r.finish_ns)
-            for r in shm.profile.requests
+            for r in resident.profile.requests
         ]
-        assert diff_span_trees(pipe.tracer, shm.tracer) is None
-        assert live_segments() == segments_before
+        assert diff_span_trees(reship.tracer, resident.tracer) is None
 
     def test_report_renders(self):
         report = run_chaos(

@@ -194,29 +194,3 @@ class TestTransportCorruption:
         assert len(diff) == 1
         assert bin(blob[diff[0]] ^ corrupted[diff[0]]).count("1") == 1
         assert injector.stats.pipe_corruptions == 1
-
-    def test_corrupt_shm_flips_one_bit_in_place(self):
-        injector = FaultInjector(make_system(), FaultConfig(seed=3))
-        frame = bytearray(range(64))
-        original = bytes(frame)
-        injector.corrupt_shm(memoryview(frame))
-        diff = [i for i, (a, b) in enumerate(zip(original, frame)) if a != b]
-        assert len(diff) == 1
-        assert bin(original[diff[0]] ^ frame[diff[0]]).count("1") == 1
-        assert injector.stats.shm_corruptions == 1
-        assert injector.stats.total >= 1
-
-    def test_corrupt_shm_deterministic_per_seed(self):
-        def strike(seed):
-            injector = FaultInjector(make_system(), FaultConfig(seed=seed))
-            frame = bytearray(64)
-            injector.corrupt_shm(memoryview(frame))
-            return bytes(frame)
-
-        assert strike(5) == strike(5)
-        assert strike(5) != strike(6)
-
-    def test_corrupt_shm_empty_frame_counts_without_striking(self):
-        injector = FaultInjector(make_system(), FaultConfig(seed=0))
-        injector.corrupt_shm(memoryview(bytearray(0)))
-        assert injector.stats.shm_corruptions == 1

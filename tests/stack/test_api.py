@@ -160,3 +160,64 @@ class TestServerConfig:
         config = ServerConfig(lanes=2)
         assert config.replace(lanes=6).lanes == 6
         assert config.lanes == 2
+
+    def test_removed_transport_fields_rejected(self):
+        # The shared-memory transport is gone; its knobs are unknown
+        # fields now (docs/MIGRATION.md records the removal).
+        with pytest.raises(TypeError):
+            ServerConfig(transport="shm")
+        with pytest.raises(TypeError):
+            ServerConfig(shm_inline_bytes=0)
+
+
+class TestWeightDigest:
+    """The sha1 weight digest is computed once per Request."""
+
+    def test_digest_cached_across_accesses(self, monkeypatch):
+        import repro.stack.api as api
+
+        calls = []
+        real = api.hashlib.sha1
+        monkeypatch.setattr(
+            api.hashlib, "sha1",
+            lambda data=b"": calls.append(1) or real(data),
+        )
+        request = Request("gemv", weights=rand((16, 8), 0), a=rand(8, 1))
+        first = request.weight_digest
+        assert request.weight_digest == first
+        assert request.signature[-1] == first
+        assert len(calls) == 1
+
+    def test_digest_layout_invariant(self):
+        w = rand((16, 8), 2)
+        c = Request("gemv", weights=w, a=rand(8, 3))
+        f = Request("gemv", weights=np.asfortranarray(w), a=rand(8, 3))
+        assert c.weight_digest == f.weight_digest
+        assert request_signature("gemv", weights=np.asfortranarray(w)) == (
+            c.signature
+        )
+
+    def test_no_weights_no_digest(self):
+        request = Request("add", a=rand(8, 4), b=rand(8, 5))
+        assert request.weight_digest is None
+
+    def test_server_submit_hashes_weights_once(self, monkeypatch):
+        """The router takes a request's signature before a shard's server
+        sees it; the server reuses that digest instead of re-hashing."""
+        import repro.stack.api as api
+        from repro.stack import PimServer, PimSystem
+
+        calls = []
+        real = api.hashlib.sha1
+        monkeypatch.setattr(
+            api.hashlib, "sha1",
+            lambda data=b"": calls.append(1) or real(data),
+        )
+        request = Request("gemv", weights=rand((16, 8), 6), a=rand(8, 7))
+        request.signature
+        system = PimSystem(SystemConfig(num_pchs=2, num_rows=256))
+        with PimServer(system, ServerConfig(simulate_pchs=1)) as server:
+            handle = server.submit(request)
+            server.run()
+        assert handle.result is not None
+        assert len(calls) == 1

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dram.controller import SchedulerPolicy
-from repro.stack.blas import PimBlas
+from repro.stack.api import Request, ServerConfig
+from repro.stack.blas import PimBlas, gemv_reference
 from repro.stack.kernels import ElementwiseKernel, GemvKernel
 from repro.stack.runtime import PimSystem, SystemConfig
 from repro.stack.server import PimRequest, PimServer
@@ -78,6 +79,20 @@ class TestServingBitExact:
         assert profile.mean_batch_size() > 1
         for handle, want in zip(handles, expected):
             assert np.array_equal(handle.result, want)
+
+    def test_gemv_reduction_order_matches_reference(self):
+        """The kernel adds its FP16 partials in FP32 in gemv_reference's
+        order (registers of each slice, then slices).  On this input a
+        flat sum over (slice, register) rounds one output differently."""
+        rng = np.random.default_rng(1094)
+        w = (rng.standard_normal((64, 96)) * 0.25).astype(np.float16)
+        x = (rng.standard_normal(96) * 0.25).astype(np.float16)
+        config = SystemConfig(num_pchs=4, num_rows=256, simulate_pchs=1)
+        with PimServer(PimSystem(config), ServerConfig()) as server:
+            handle = server.submit(Request("gemv", weights=w, a=x))
+            server.run()
+        golden = gemv_reference(w, x, config.num_pchs)
+        assert handle.result.tobytes() == golden.tobytes()
 
     def test_fused_gemv_batch_matches_sequential_calls(self):
         """GemvKernel.batched(fused=True) == one call per input, bitwise."""
