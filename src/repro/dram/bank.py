@@ -244,7 +244,8 @@ class Bank:
         Used in AB-PIM mode, where the column command's data flow is governed
         by the PIM instruction (the execution unit peeks/pokes the row buffer
         itself) but the bank-level timing behaviour is identical to a normal
-        access.
+        access.  The PIM pseudo-channel applies it once per all-bank column,
+        to the stand-in bank that carries the shared AB timing.
         """
         self._check_column(row, cycle, is_write)
         t = self.timing

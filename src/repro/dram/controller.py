@@ -24,11 +24,11 @@ import enum
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .bank import TimingViolation
 from .commands import Command, CommandType
 from .pseudochannel import PseudoChannel
 
@@ -177,16 +177,10 @@ class MemoryController:
 
     def _window_requests(self) -> List[Request]:
         """Oldest-epoch requests, limited to the reorder window."""
-        if not self._queue:
-            return []
-        active_epoch = self._queue[0].epoch
-        window: List[Request] = []
-        for request in self._queue:
-            if request.epoch != active_epoch:
-                break
-            window.append(request)
-            if len(window) >= self.window:
-                break
+        window = list(islice(self._queue, self.window))
+        # Epochs never decrease along the queue: trim the younger tail.
+        while window and window[-1].epoch != window[0].epoch:
+            window.pop()
         return window
 
     def _pick(self, window: List[Request]) -> Request:
@@ -196,16 +190,22 @@ class MemoryController:
             return self._rng.choice(window)
         # FR-FCFS: among row hits, the first *ready* one (earliest legal
         # column issue — this is what lets hits to other bank groups slip in
-        # at tCCD_S); with no hits, the oldest request.
+        # at tCCD_S); with no hits, the oldest request.  A column's bound
+        # depends only on (direction, bg, ba), and a later request with the
+        # same bound loses the tie, so only the first of each is probed.
         best: Optional[Request] = None
         best_cycle = 0
+        probed = set()
+        open_rows = self._open_rows
         for request in window:
-            if self._shadow_row(request.bg, request.ba) != request.row:
+            if open_rows.get((request.bg, request.ba)) != request.row:
                 continue
-            cmd_type = CommandType.RD if request.op is MemOp.READ else CommandType.WR
+            key = (request.op is MemOp.WRITE, request.bg, request.ba)
+            if key in probed:
+                continue
+            probed.add(key)
             probe = Command(
-                cmd_type, request.bg, request.ba, row=request.row, col=request.col,
-                data=request.data,
+                CommandType.WR if key[0] else CommandType.RD, request.bg, request.ba
             )
             cycle = self.channel.earliest_issue(probe)
             if best is None or cycle < best_cycle:
@@ -215,27 +215,24 @@ class MemoryController:
             return best
         return window[0]
 
-    def _opportunistic_activate(self, window: List[Request], picked: Request) -> None:
-        """Open another request's row while the picked column waits.
+    def _opportunistic_activate(
+        self, window: List[Request], picked: Request, column: Command
+    ) -> None:
+        """Open another request's row while the picked ``column`` waits.
 
         Real FR-FCFS controllers interleave ACTs to idle banks with the
         column stream; without this, a multi-bank stream degenerates to one
         bank at a time.
         """
-        cmd_type = CommandType.RD if picked.op is MemOp.READ else CommandType.WR
-        probe = Command(
-            cmd_type, picked.bg, picked.ba, row=picked.row, col=picked.col,
-            data=picked.data,
-        )
-        col_cycle = max(self._next_ca, self.channel.earliest_issue(probe))
+        col_cycle = max(self._next_ca, self.channel.earliest_issue(column))
         if col_cycle <= self._next_ca:
             return  # no slack: the column goes out right now
         touched = set()
         for other in window:
-            if other is picked:
-                continue
+            if other.bg == picked.bg and other.ba == picked.ba:
+                continue  # the picked request's own bank
             key = (other.bg, other.ba)
-            if key in touched or key == (picked.bg, picked.ba):
+            if key in touched:
                 continue
             shadow = self._shadow_row(*key)
             if shadow == other.row:
@@ -291,8 +288,17 @@ class MemoryController:
                 self._do_refresh()
             window = self._window_requests()
             request = self._pick(window)
+            cmd = Command(
+                CommandType.WR if request.op is MemOp.WRITE else CommandType.RD,
+                request.bg,
+                request.ba,
+                row=request.row,
+                col=request.col,
+                data=request.data,
+                tag=request.tag,
+            )
             if self.policy is SchedulerPolicy.FRFCFS:
-                self._opportunistic_activate(window, request)
+                self._opportunistic_activate(window, request, cmd)
             open_row = self._shadow_row(request.bg, request.ba)
             if open_row is not None and open_row != request.row:
                 # Row conflict: only close a row no windowed request still
@@ -309,23 +315,11 @@ class MemoryController:
                 self.row_misses += 1
             else:
                 self.row_hits += 1
-            cmd_type = (
-                CommandType.RD if request.op is MemOp.READ else CommandType.WR
-            )
-            cmd = Command(
-                cmd_type,
-                request.bg,
-                request.ba,
-                row=request.row,
-                col=request.col,
-                data=request.data,
-                tag=request.tag,
-            )
             data = self._issue(cmd)
             if request.op is MemOp.READ and request.tag is not None and data is not None:
                 read_data[request.tag] = data
             issue_order.append((self._cycle, request))
-            self._queue.remove(request)
+            self._dequeue(request)
         self.busy_cycles += self._cycle - entry_cycle
         counts = {
             ct: self.channel.cmd_counts[ct] - start_counts.get(ct, 0)
@@ -350,10 +344,22 @@ class MemoryController:
             row_misses=self.row_misses,
         )
 
+    def _dequeue(self, request: Request) -> None:
+        """Remove ``request`` itself — not an equal one — from the queue.
+
+        Requests compare as dataclasses, so two reads of one address are
+        equal and two writes with different data fail to compare at all.
+        The picked request sits inside the reorder window, near the front.
+        """
+        queue = self._queue
+        for index, queued in enumerate(queue):
+            if queued is request:
+                del queue[index]
+                return
+        raise ValueError(f"{request!r} is not queued")
+
     def _do_refresh(self) -> None:
         """Close every row and issue REF; rows re-open on demand."""
-        bound = max(bank.earliest_pre() for bank in self.channel.banks)
-        self._next_ca = max(self._next_ca, bound)
         self._issue(Command(CommandType.PREA))
         self._issue(Command(CommandType.REF))
         for key in list(self._open_rows):
@@ -390,23 +396,16 @@ class MemoryController:
         """
         self._queue.clear()
         self._open_rows.clear()
-        bound = self._cycle
-        for bank in self.channel.banks:
-            bound = max(
-                bound, bank.next_act, bank.next_pre, bank.next_rd, bank.next_wr
-            )
+        bound = max(self._cycle, self.channel.latest_bound())
         self._cycle = bound
         self._next_ca = max(self._next_ca, bound + 1)
         self.channel.hard_reset(bound)
 
     def precharge_all(self) -> None:
-        """Issue PREA (used before SB<->AB mode transitions)."""
-        try:
-            self._issue(Command(CommandType.PREA))
-        except TimingViolation:
-            # Wait for the latest per-bank bound, then retry.
-            bound = max(bank.earliest_pre() for bank in self.channel.banks)
-            self._next_ca = max(self._next_ca, bound)
-            self._issue(Command(CommandType.PREA))
+        """Issue PREA (used before SB<->AB mode transitions).
+
+        ``_issue`` waits for the PREA bound, the latest per-bank PRE bound.
+        """
+        self._issue(Command(CommandType.PREA))
         for key in list(self._open_rows):
             self._open_rows[key] = None

@@ -5,6 +5,14 @@ cadence (tCCD_S/tCCD_L), activate spacing (tRRD_S/tRRD_L, tFAW), and data-bus
 turnaround (tWTR/tRTW).  It also models the middle control logic that decodes
 a CA pair and routes it to the target bank (Section II-B).
 
+Timing state changes only in :meth:`PseudoChannel.issue` and
+:meth:`PseudoChannel.hard_reset`, so between two of those calls every
+command's earliest issue cycle is a constant.  :meth:`earliest_issue`
+therefore computes each ``(command type, bank group, bank)`` bound once and
+memoises it until the next ``issue``/``hard_reset``: the controller's
+scheduling probes and the legality check inside ``issue`` share one
+computation.
+
 :class:`repro.pim.device.PimPseudoChannel` subclasses this to add all-bank
 broadcast and PIM instruction triggering; the command interface — the JEDEC
 boundary — is identical in both.
@@ -13,7 +21,7 @@ boundary — is identical in both.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Type
+from typing import Deque, Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
@@ -51,6 +59,10 @@ class PseudoChannel:
         self._act_window: Deque[int] = deque(maxlen=4)  # for tFAW
         # Statistics.
         self.cmd_counts = {ct: 0 for ct in CommandType}
+        # (command type value, bg, ba) -> earliest issue cycle; valid until
+        # the next issue()/hard_reset().  Keyed on the type's ``_value_``
+        # because hashing an Enum member runs Python code.
+        self._bounds: Dict[Tuple[str, int, int], int] = {}
 
     # -- helpers ------------------------------------------------------------
 
@@ -65,8 +77,17 @@ class PseudoChannel:
         worst-case wait followed by PREA.  Timing legality is not
         re-checked; each bank's next ACT is pushed past ``cycle + tRP``.
         """
+        self._bounds.clear()
         for bank in self.banks:
             bank.force_precharge(cycle)
+
+    def latest_bound(self) -> int:
+        """The latest per-bank timing bound: every bank command is legal
+        from this cycle on (what the channel-recovery sequence waits out)."""
+        return max(
+            max(bank.next_act, bank.next_pre, bank.next_rd, bank.next_wr)
+            for bank in self.banks
+        )
 
     def _col_bus_bound(self, cmd: Command) -> int:
         """Earliest cycle for a column command given shared-bus history."""
@@ -102,6 +123,14 @@ class PseudoChannel:
 
     def earliest_issue(self, cmd: Command) -> int:
         """Earliest legal issue cycle for ``cmd`` (bank + shared bounds)."""
+        key = (cmd.cmd._value_, cmd.bg, cmd.ba)
+        bound = self._bounds.get(key)
+        if bound is None:
+            bound = self._bounds[key] = self._compute_bound(cmd)
+        return bound
+
+    def _compute_bound(self, cmd: Command) -> int:
+        """:meth:`earliest_issue` without the memo."""
         if cmd.cmd is CommandType.ACT:
             bank_bound = self.bank(cmd.bg, cmd.ba).earliest_act()
             return max(bank_bound, self._act_bus_bound(cmd))
@@ -119,10 +148,10 @@ class PseudoChannel:
 
     def issue(self, cmd: Command, cycle: int) -> Optional[np.ndarray]:
         """Issue ``cmd`` at ``cycle``; returns read data for RD commands."""
-        if cycle < self.earliest_issue(cmd):
-            raise TimingViolation(
-                f"{cmd!r} at {cycle} before bound {self.earliest_issue(cmd)}"
-            )
+        bound = self.earliest_issue(cmd)
+        if cycle < bound:
+            raise TimingViolation(f"{cmd!r} at {cycle} before bound {bound}")
+        self._bounds.clear()
         self.cmd_counts[cmd.cmd] += 1
         if cmd.cmd is CommandType.ACT:
             self.bank(cmd.bg, cmd.ba).activate(cmd.row, cycle)

@@ -13,12 +13,11 @@ a JEDEC controller emits — which is the paper's drop-in-replacement claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..dram.bank import BankConfig
+from ..dram.bank import Bank, BankConfig, TimingViolation
 from ..dram.commands import Command, CommandType
 from ..dram.device import DeviceConfig, HbmDevice
 from ..dram.pseudochannel import BANKS_PER_PCH, PseudoChannel
@@ -31,6 +30,11 @@ __all__ = ["PimPseudoChannel", "PimHbmDevice", "UNITS_PER_PCH"]
 
 UNITS_PER_PCH = BANKS_PER_PCH // 2  # one unit per bank pair (Table V: 8)
 
+_ACT, _PRE, _PREA, _RD, _WR, _REF = (
+    CommandType.ACT, CommandType.PRE, CommandType.PREA,
+    CommandType.RD, CommandType.WR, CommandType.REF,
+)
+
 
 class PimPseudoChannel(PseudoChannel):
     """A pseudo-channel of the PIM-HBM die."""
@@ -42,7 +46,6 @@ class PimPseudoChannel(PseudoChannel):
         bank_cls=None,
         lane_format=None,
     ):
-        from ..dram.bank import Bank
         from ..common.fp16 import FP16
 
         super().__init__(timing, bank_config, bank_cls=bank_cls or Bank)
@@ -68,6 +71,11 @@ class PimPseudoChannel(PseudoChannel):
         # transitions as instant events; None costs one attribute test.
         self.tracer = None
         self.channel_id = 0
+        # All-bank timing, set while the channel is in an AB mode (see
+        # _enter_all_bank): the per-bank bound maxima at mode entry, and a
+        # stand-in bank holding the max of every AB update since.
+        self._ab_entry: Optional[Tuple[int, int, int, int]] = None
+        self._ab_delta: Optional[Bank] = None
 
     @property
     def mode(self) -> PimMode:
@@ -80,6 +88,7 @@ class PimPseudoChannel(PseudoChannel):
         runtime's microkernel cache tracks what is loaded, and a retried
         kernel reprograms whatever it needs before executing.
         """
+        self._leave_all_bank()
         super().hard_reset(cycle)
         self.mode_ctrl.reset()
         self.pim_op_mode = 0
@@ -88,40 +97,82 @@ class PimPseudoChannel(PseudoChannel):
         self.lockstep.abort_pending()
         self.lockstep.stop_all()
 
-    # -- timing: AB modes serialise columns at tCCD_L ---------------------------
+    # -- timing: AB modes share one bound per kind and keep tCCD_L cadence ------
+    #
+    # In AB modes every bank receives the same commands, and every per-bank
+    # bound only grows (``b = max(b, cycle + delay)``).  So after mode entry
+    # bank i's bound is max(entry_i, U), where U is the max of the AB
+    # updates since, and the all-bank bound is max(max_i entry_i, U).  The
+    # channel keeps the entry maxima and a stand-in bank whose bounds start
+    # at 0 and so hold U; a PIM column updates that one bank instead of 16.
+    # Leaving AB mode writes bank_i = max(bank_i, U) back, which is exact.
+
+    def _enter_all_bank(self) -> None:
+        banks = self.banks
+        self._ab_entry = (
+            max(bank.next_act for bank in banks),
+            max(bank.next_pre for bank in banks),
+            max(bank.next_rd for bank in banks),
+            max(bank.next_wr for bank in banks),
+        )
+        self._ab_delta = Bank(self.bank_config, self.timing)
+
+    def _leave_all_bank(self) -> None:
+        delta = self._ab_delta
+        if delta is None:
+            return
+        for bank in self.banks:
+            bank.next_act = max(bank.next_act, delta.next_act)
+            bank.next_pre = max(bank.next_pre, delta.next_pre)
+            bank.next_rd = max(bank.next_rd, delta.next_rd)
+            bank.next_wr = max(bank.next_wr, delta.next_wr)
+        self._ab_entry = self._ab_delta = None
+
+    def latest_bound(self) -> int:
+        """The latest per-bank timing bound, AB updates included."""
+        delta = self._ab_delta
+        if delta is None:
+            return super().latest_bound()
+        return max(
+            *self._ab_entry, delta.next_act, delta.next_pre, delta.next_rd, delta.next_wr
+        )
 
     def _col_bus_bound(self, cmd: Command) -> int:
         bound = super()._col_bus_bound(cmd)
-        if self.mode_ctrl.all_bank and self._last_col_cycle is not None:
+        if self._ab_delta is not None and self._last_col_cycle is not None:
             # Every bank group participates, so the same-group delay governs.
             bound = max(bound, self._last_col_cycle + self.timing.tccd_l)
         return bound
 
-    def earliest_issue(self, cmd: Command) -> int:
-        """Earliest legal cycle; all-bank modes bound over every bank."""
-        if not self.mode_ctrl.all_bank:
-            return super().earliest_issue(cmd)
-        if cmd.cmd is CommandType.ACT:
-            bank_bound = max(bank.earliest_act() for bank in self.banks)
-            return max(bank_bound, self._act_bus_bound(cmd))
-        if cmd.cmd in (CommandType.PRE, CommandType.PREA):
-            return max(bank.earliest_pre() for bank in self.banks)
-        if cmd.cmd.is_column:
-            is_write = cmd.cmd is CommandType.WR
-            bank_bound = max(bank.earliest_col(is_write) for bank in self.banks)
-            return max(bank_bound, self._col_bus_bound(cmd))
-        return super().earliest_issue(cmd)
+    def _compute_bound(self, cmd: Command) -> int:
+        """All-bank modes bound over every bank via the shared scalars."""
+        entry = self._ab_entry
+        if entry is None:
+            return super()._compute_bound(cmd)
+        delta = self._ab_delta
+        kind = cmd.cmd
+        if kind is _ACT:
+            return max(entry[0], delta.next_act, self._act_bus_bound(cmd))
+        if kind is _PRE or kind is _PREA:
+            return max(entry[1], delta.next_pre)
+        if kind is _RD:
+            return max(entry[2], delta.next_rd, self._col_bus_bound(cmd))
+        if kind is _WR:
+            return max(entry[3], delta.next_wr, self._col_bus_bound(cmd))
+        if kind is _REF:
+            return max(entry[0], delta.next_act)
+        raise ValueError(f"unhandled command {kind}")
 
     # -- command execution --------------------------------------------------------
 
     def issue(self, cmd: Command, cycle: int) -> Optional[np.ndarray]:
         """Dispatch by mode: SB delegates, AB modes broadcast/trigger."""
         if self.tracer is None:
-            if not self.mode_ctrl.all_bank:
+            if self._ab_delta is None:
                 return self._issue_single_bank(cmd, cycle)
             return self._issue_all_bank(cmd, cycle)
         before = self.mode_ctrl.mode
-        if not self.mode_ctrl.all_bank:
+        if self._ab_delta is None:
             result = self._issue_single_bank(cmd, cycle)
         else:
             result = self._issue_all_bank(cmd, cycle)
@@ -143,10 +194,12 @@ class PimPseudoChannel(PseudoChannel):
         if cmd.cmd in (CommandType.PRE, CommandType.PREA):
             result = super().issue(cmd, cycle)
             self.mode_ctrl.observe_pre()
-            if self.mode_ctrl.all_bank and not self.all_banks_idle:
-                raise RuntimeError(
-                    "entered AB mode with open rows; precharge all banks first"
-                )
+            if self.mode_ctrl.all_bank:
+                self._enter_all_bank()
+                if not self.all_banks_idle:
+                    raise RuntimeError(
+                        "entered AB mode with open rows; precharge all banks first"
+                    )
             return result
         if cmd.cmd.is_column and self.memory_map.is_register_row(cmd.row):
             # Register access in SB mode targets the unit of the addressed
@@ -159,31 +212,39 @@ class PimPseudoChannel(PseudoChannel):
     def _issue_all_bank(self, cmd: Command, cycle: int) -> Optional[np.ndarray]:
         bound = self.earliest_issue(cmd)
         if cycle < bound:
-            from ..dram.bank import TimingViolation
-
             raise TimingViolation(f"{cmd!r} at {cycle} before bound {bound}")
-        self.cmd_counts[cmd.cmd] += 1
-        if cmd.cmd is CommandType.ACT:
+        self._bounds.clear()
+        kind = cmd.cmd
+        self.cmd_counts[kind] += 1
+        # Row state moves bank by bank (ACT/PRE are rare); timing moves in
+        # the stand-in bank, after the banks accepted the command.
+        if kind is _ACT:
             self.mode_ctrl.observe_act(cmd.row)
             for bank in self.banks:
                 bank.activate(cmd.row, cycle)
+            self._ab_delta.activate(cmd.row, cycle)
             self._record_act(cmd.bg, cycle)
             return None
-        if cmd.cmd in (CommandType.PRE, CommandType.PREA):
+        if kind is _PRE or kind is _PREA:
             for bank in self.banks:
                 bank.precharge(cycle)
+            self._ab_delta.precharge(cycle)
             self.mode_ctrl.observe_pre()
+            if not self.mode_ctrl.all_bank:
+                self._leave_all_bank()
             return None
-        if cmd.cmd.is_column:
+        if kind is _RD or kind is _WR:
             return self._all_bank_column(cmd, cycle)
-        if cmd.cmd is CommandType.REF:
+        if kind is _REF:
             for bank in self.banks:
                 bank.next_act = max(bank.next_act, cycle + self.timing.trfc)
+            delta = self._ab_delta
+            delta.next_act = max(delta.next_act, cycle + self.timing.trfc)
             return None
-        raise ValueError(f"unhandled command {cmd.cmd}")
+        raise ValueError(f"unhandled command {kind}")
 
     def _all_bank_column(self, cmd: Command, cycle: int) -> Optional[np.ndarray]:
-        is_write = cmd.cmd is CommandType.WR
+        is_write = cmd.cmd is _WR
         if self.memory_map.is_register_row(cmd.row):
             # Register rows are decoded ahead of the banks: broadcast writes
             # program every unit identically; reads return the addressed
@@ -191,15 +252,19 @@ class PimPseudoChannel(PseudoChannel):
             # in a register row).
             self._record_col(cmd.bg, cycle, is_write)
             return self._register_access(cmd, self.units)
-        for bank in self.banks:
-            if self.mode_ctrl.pim_executing:
-                bank.touch_column(cmd.row, cycle, is_write)
-            elif is_write:
-                bank.write(cmd.row, cmd.col, cmd.data, cycle)
-            else:
-                bank.read(cmd.row, cmd.col, cycle)
+        pim_executing = self.mode_ctrl.mode is PimMode.AB_PIM
+        if not pim_executing:
+            # AB data movement: every bank reads or writes its column.
+            for bank in self.banks:
+                if is_write:
+                    bank.write(cmd.row, cmd.col, cmd.data, cycle)
+                else:
+                    bank.read(cmd.row, cmd.col, cycle)
+        # The banks share one open row and one timing update: check and
+        # apply it once, on the stand-in bank.
+        self._ab_delta.touch_column(cmd.row, cycle, is_write)
         self._record_col(cmd.bg, cycle, is_write)
-        if self.mode_ctrl.pim_executing:
+        if pim_executing:
             self.pim_triggered_columns += 1
             trig = ColumnTrigger(
                 is_write=is_write, row=cmd.row, col=cmd.col, host_data=cmd.data

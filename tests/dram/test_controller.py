@@ -9,6 +9,10 @@ from repro.dram.controller import MemOp, MemoryController, Request, SchedulerPol
 from repro.dram.pseudochannel import PseudoChannel
 from repro.dram.timing import HBM2_1GHZ
 
+# Every command these tests issue is replayed by the independent JEDEC
+# timing auditor (tests/conftest.py).
+pytestmark = pytest.mark.usefixtures("timing_audit")
+
 
 def make_controller(**kwargs):
     channel = PseudoChannel(HBM2_1GHZ, BankConfig(num_rows=64))
@@ -209,3 +213,25 @@ class TestBandwidth:
             return mc.drain().cycles
 
         assert run(spread=True) < run(spread=False)
+
+
+class TestQueueRemoval:
+    """drain() removes the request it issued, not an equal one."""
+
+    def test_shuffle_returns_every_tag_of_one_address(self):
+        mc, ch = make_controller(policy=SchedulerPolicy.SHUFFLE, seed=0)
+        for tag in range(4):
+            mc.read(0, 0, 3, 4, tag=tag)
+        result = mc.drain()
+        assert sorted(result.read_data) == [0, 1, 2, 3]
+        assert sorted(req.tag for _, req in result.issue_order) == [0, 1, 2, 3]
+        assert ch.cmd_counts[CommandType.RD] == 4
+
+    def test_two_writes_to_one_column_with_different_data(self):
+        mc, ch = make_controller(policy=SchedulerPolicy.SHUFFLE, seed=0)
+        mc.write(0, 0, 3, 4, _data(1))
+        mc.write(0, 0, 3, 4, _data(2))
+        result = mc.drain()
+        assert ch.cmd_counts[CommandType.WR] == 2
+        last = result.issue_order[-1][1]
+        assert np.array_equal(ch.bank(0, 0).peek(3, 4), last.data)

@@ -11,6 +11,10 @@ from repro.dram.controller import MemoryController
 from repro.dram.pseudochannel import PseudoChannel
 from repro.dram.timing import HBM2_1GHZ
 
+# Every command these tests issue is replayed by the independent JEDEC
+# timing auditor (tests/conftest.py).
+pytestmark = pytest.mark.usefixtures("timing_audit")
+
 FAST_REFRESH = replace(HBM2_1GHZ, trefi=200, trfc=100)
 
 

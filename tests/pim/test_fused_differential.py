@@ -18,6 +18,7 @@ self-healing layer discards.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,6 +37,10 @@ from tests.pim.test_lockstep import (
     _trigger,
     _wr,
 )
+
+# Every command these tests issue is replayed by the independent JEDEC
+# timing auditor (tests/conftest.py).
+pytestmark = pytest.mark.usefixtures("timing_audit")
 
 
 def _build_fused(seed: int, bank_cls=Bank) -> FusedLockstepGroup:
