@@ -219,12 +219,12 @@ def fp_relu(fmt: FloatFormat, a_bits: int) -> int:
 
 def vec_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Lane-wise FP16 multiply (numpy float16 semantics == IEEE RNE)."""
-    return (a.astype(np.float16) * b.astype(np.float16)).astype(np.float16)
+    return np.asarray(a, dtype=np.float16) * np.asarray(b, dtype=np.float16)
 
 
 def vec_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Lane-wise FP16 add."""
-    return (a.astype(np.float16) + b.astype(np.float16)).astype(np.float16)
+    return np.asarray(a, dtype=np.float16) + np.asarray(b, dtype=np.float16)
 
 
 def vec_mac(acc: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

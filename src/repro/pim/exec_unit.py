@@ -40,7 +40,7 @@ from .registers import GRF_REG_BYTES, LANES, RegisterFiles
 __all__ = ["ColumnTrigger", "PimExecutionUnit", "PimProgramError", "UnitStats"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ColumnTrigger:
     """The DRAM column command that triggers one PIM instruction.
 
@@ -52,6 +52,19 @@ class ColumnTrigger:
     row: int
     col: int
     host_data: Optional[np.ndarray] = None
+
+    def __init__(
+        self,
+        is_write: bool,
+        row: int,
+        col: int,
+        host_data: Optional[np.ndarray] = None,
+    ):
+        # One trigger per PIM column command: fill the fields in one step
+        # rather than through the frozen per-field ``object.__setattr__``.
+        self.__dict__.update(
+            is_write=is_write, row=row, col=col, host_data=host_data
+        )
 
     def host_fp16(self) -> np.ndarray:
         """The WR burst as 16 FP16 lanes, built once per broadcast.
@@ -135,6 +148,16 @@ class PimExecutionUnit:
             self.exited,
             self._nop_remaining,
             tuple(sorted(self._jump_state.items())),
+        )
+
+    def same_sequencer_state(self, other: "PimExecutionUnit") -> bool:
+        """``self.sequencer_state() == other.sequencer_state()``, without
+        building either snapshot."""
+        return (
+            self.ppc == other.ppc
+            and self.exited == other.exited
+            and self._nop_remaining == other._nop_remaining
+            and self._jump_state == other._jump_state
         )
 
     def install_sequencer_state(
